@@ -9,6 +9,10 @@ Three implementations of one protocol (:class:`ExecutionBackend`):
 * :class:`DispatchBackend` — a multi-host work-stealing file queue
   served by ``repro worker`` processes.
 
+Each is a transport under one recovery machine,
+:class:`~repro.engine.backends.base.TaskRecovery`, which alone decides
+retries, timeouts, worker loss, quarantine, and the ordered settle.
+
 :func:`resolve_executor` maps the ``--executor`` vocabulary (``auto`` /
 ``serial`` / ``pool`` / ``dispatch``, or an already-constructed backend
 instance) to a backend; ``auto`` preserves the historical behaviour of
@@ -22,6 +26,7 @@ from repro.engine.backends.base import (
     ExecutionBackend,
     RunState,
     TaskEnvelope,
+    TaskRecovery,
     execute_task,
     get_worker_context,
     get_worker_name,
@@ -45,6 +50,7 @@ __all__ = [
     "RunState",
     "SerialBackend",
     "TaskEnvelope",
+    "TaskRecovery",
     "execute_task",
     "get_worker_context",
     "get_worker_name",

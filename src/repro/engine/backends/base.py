@@ -14,6 +14,10 @@ lives here:
 * :func:`settle_success` / :func:`settle_failure` — the single settle
   path (metric merge, task span, journal record, failure report) every
   backend funnels through, in task order;
+* :class:`TaskRecovery` — the task-recovery state machine (attempts,
+  retries, timeouts, worker loss, quarantine, ordered settle, and the
+  in-process transport every degrade-to-local path shares); a backend
+  is only the transport that issues attempts and reports their fate;
 * :func:`worker_bundle` / :func:`install_worker_bundle` — the shared
   state a worker process must install before running tasks (context,
   guard mode, chaos plan, metrics switch, array-backend config), used
@@ -48,6 +52,7 @@ __all__ = [
     "ExecutionBackend",
     "RunState",
     "TaskEnvelope",
+    "TaskRecovery",
     "execute_task",
     "get_worker_context",
     "get_worker_name",
@@ -313,6 +318,233 @@ def record_event(state: RunState, kind: str, detail: str, **extra) -> None:
     warnings.warn(f"{kind}: {detail}", stacklevel=3)
     if state.report is not None:
         state.report.record_event(kind, detail, stage=state.stage, **extra)
+
+
+class TaskRecovery:
+    """The task-recovery state machine of one backend ``run``.
+
+    It owns everything a task's fate depends on, so every transport
+    recovers identically.  A task is *waiting* (due at a clock time,
+    with the attempt number it will be issued at), *in flight* (issued
+    as :attr:`attempt`; a report about any other attempt is stale and
+    ignored), or *resolved* (its value or :class:`TaskFailure` held
+    until every earlier task resolved, then settled in task order).
+
+    A transport only issues attempts (:meth:`due`, :meth:`issue`) and
+    reports their fate: :meth:`complete`, :meth:`error`,
+    :meth:`timeout`, :meth:`lost` (its worker died), or :meth:`requeue`
+    (the transport itself dropped the attempt).  Errors and timeouts
+    follow ``on_error`` × :class:`RetryPolicy`; a loss re-issues the
+    same attempt until the task has killed ``quarantine_after`` workers
+    (counted across incarnations through the journal's crash counts,
+    so a resumed run quarantines known poison tasks up front) and is
+    quarantined.  :meth:`run_inline` executes tasks in this process —
+    the serial backend, and every degrade-to-local path.
+    """
+
+    def __init__(
+        self,
+        state: RunState,
+        pending: "list[Task]",
+        results: "dict[int, Any]",
+        clock: "Callable[[], float]" = time.monotonic,
+    ):
+        self.state = state
+        self.tasks = {t.index: t for t in pending}
+        self.order = [t.index for t in pending]
+        self.results = results
+        self.clock = clock
+        self.attempt = {i: 0 for i in self.order}
+        self.waiting: "dict[int, tuple[float, int]]" = {i: (0.0, 1) for i in self.order}
+        self.open = set(self.order)
+        self._resolved: "dict[int, tuple[bool, Any]]" = {}
+        #: How many tasks (a prefix of :attr:`order`) have settled.
+        self.settled = 0
+        crashes = {} if state.journal is None else state.journal.crash_counts(state.stage)
+        self.losses = {i: crashes.get(i, 0) for i in self.order}
+        if state.on_error != "raise":
+            for idx in self.order:
+                if self.losses[idx] >= state.quarantine_after:
+                    self._quarantine(idx)
+
+    @property
+    def finished(self) -> bool:
+        """Every task resolved (and therefore settled)."""
+        return not self.open
+
+    def unresolved(self) -> "list[int]":
+        return sorted(self.open)
+
+    def inflight(self) -> "list[int]":
+        return sorted(i for i in self.open if i not in self.waiting)
+
+    def due(self) -> "list[int]":
+        """Waiting tasks whose (re)issue time has come."""
+        now = self.clock()
+        return sorted(i for i, (at, _) in self.waiting.items() if at <= now)
+
+    def wait(self, indices) -> None:
+        """Sleep until every listed waiting task is due."""
+        last = max((self.waiting[i][0] for i in indices if i in self.waiting), default=0.0)
+        delay = last - self.clock()
+        if delay > 0:
+            time.sleep(delay)
+
+    def issue(self, idx: int) -> int:
+        """Start a waiting task's next attempt; returns its number."""
+        _, self.attempt[idx] = self.waiting.pop(idx)
+        return self.attempt[idx]
+
+    def current(self, idx: int, attempt: int) -> bool:
+        """Whether a report about ``attempt`` of ``idx`` still counts."""
+        return idx in self.open and idx not in self.waiting and self.attempt[idx] == attempt
+
+    def requeue(self, idx: int) -> None:
+        """The transport dropped an in-flight attempt through no fault
+        of the task: issue the same attempt again, now."""
+        self.waiting[idx] = (self.clock(), self.attempt[idx])
+
+    def abandon(self) -> None:
+        """Requeue every in-flight task (its transport went away)."""
+        for idx in self.inflight():
+            self.requeue(idx)
+
+    def complete(self, idx: int, attempt: int, outcome: Any) -> None:
+        if self.current(idx, attempt):
+            self._resolve(idx, True, outcome)
+
+    def error(
+        self,
+        idx: int,
+        attempt: int,
+        exc: BaseException,
+        error_type: "str | None" = None,
+        message: "str | None" = None,
+    ) -> None:
+        """The attempt raised ``exc`` (a remote transport may describe
+        the original exception separately when it could not ship it)."""
+        if not self.current(idx, attempt):
+            return
+        if self.state.on_error == "raise":
+            raise exc
+        self._retry_or_fail(
+            idx, attempt, "error",
+            error_type or type(exc).__name__,
+            str(exc) if message is None else message,
+        )
+
+    def timeout(self, idx: int, attempt: int, budget: float) -> None:
+        """The attempt overran its ``budget`` seconds of wall clock."""
+        if not self.current(idx, attempt):
+            return
+        if self.state.on_error == "raise":
+            raise TimeoutError(
+                f"task {idx} (stage {self.state.stage!r}) exceeded its "
+                f"{budget:g}s wall-clock budget"
+            )
+        self._retry_or_fail(
+            idx, attempt, "timeout", "TimeoutError", f"exceeded {budget:g}s budget"
+        )
+
+    def _retry_or_fail(
+        self, idx: int, attempt: int, kind: str, error_type: str, message: str
+    ) -> None:
+        retry = self.state.retry
+        if self.state.on_error == "retry" and attempt < retry.max_attempts:
+            obs_metrics.add("executor.retries")
+            self.waiting[idx] = (self.clock() + retry.delay(idx, attempt), attempt + 1)
+            return
+        self._resolve(
+            idx, False,
+            TaskFailure(idx, self.state.stage, kind, error_type, message, attempt),
+        )
+
+    def lost(self, idx: int) -> bool:
+        """The worker executing ``idx`` died.  Worker loss is not a task
+        failure: the same attempt is re-issued — until the task has
+        killed ``quarantine_after`` workers, when it is quarantined
+        (never re-issued, never run in this process: it just proved it
+        kills its host).  Returns whether it was quarantined."""
+        state = self.state
+        self.losses[idx] += 1
+        if state.journal is not None:
+            self.losses[idx] = max(
+                self.losses[idx], state.journal.record_crash(state.stage, idx)
+            )
+        obs_metrics.add("executor.worker_losses")
+        if self.losses[idx] < state.quarantine_after:
+            self.requeue(idx)
+            return False
+        if state.on_error == "raise":
+            raise RuntimeError(
+                f"task {idx} (stage {state.stage!r}) killed {self.losses[idx]} "
+                "worker(s) and was quarantined; re-run with --on-error skip or "
+                "retry to let the remaining tasks complete without it"
+            )
+        self._quarantine(idx)
+        return True
+
+    def _quarantine(self, idx: int) -> None:
+        count = self.losses[idx]
+        obs_metrics.add("quarantine.tasks")
+        record_event(
+            self.state,
+            "quarantined",
+            f"task {idx} killed its worker {count} time(s) "
+            f"(quarantine-after={self.state.quarantine_after}); no longer re-issued",
+            index=idx,
+        )
+        self.waiting.pop(idx, None)
+        self._resolve(
+            idx, False,
+            TaskFailure(
+                index=idx,
+                stage=self.state.stage,
+                kind="quarantined",
+                error_type="WorkerLost",
+                message=f"worker died {count} time(s) executing this task",
+                attempts=max(self.attempt[idx], count),
+            ),
+        )
+
+    def _resolve(self, idx: int, ok: bool, outcome: Any) -> None:
+        """Resolve a task, then settle the resolved prefix in task order."""
+        self.open.discard(idx)
+        self._resolved[idx] = (ok, outcome)
+        order = self.order
+        while self.settled < len(order) and order[self.settled] in self._resolved:
+            i = order[self.settled]
+            ok, outcome = self._resolved.pop(i)
+            self.results[i] = (
+                settle_success(self.state, self.tasks[i], outcome)
+                if ok
+                else settle_failure(self.state, outcome)
+            )
+            self.settled += 1
+
+    def run_inline(self, indices) -> None:
+        """Execute the listed waiting tasks in this process, attempt
+        after attempt, until each resolves.  Nothing can preempt a task
+        here, so ``timeout`` does not apply, and no worker can be lost."""
+        previous = set_worker_context(self.state.context)
+        try:
+            for idx in indices:
+                while idx in self.waiting:
+                    self.wait((idx,))
+                    attempt = self.issue(idx)
+                    try:
+                        outcome = execute_task(self.state.fn, self.tasks[idx], self.state.stage)
+                    except Exception as exc:
+                        self.error(idx, attempt, exc)
+                    else:
+                        self.complete(idx, attempt, outcome)
+        finally:
+            set_worker_context(previous)
+
+    def degrade(self, detail: str, indices, **extra) -> None:
+        """Record a ``degraded-serial`` event and run ``indices`` inline."""
+        record_event(self.state, "degraded-serial", detail, **extra)
+        self.run_inline(indices)
 
 
 class ExecutionBackend:

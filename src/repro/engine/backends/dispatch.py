@@ -57,6 +57,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -64,16 +65,13 @@ from repro.engine import chaos
 from repro.engine.backends.base import (
     ExecutionBackend,
     RunState,
+    TaskRecovery,
     execute_task,
     install_worker_bundle,
     record_event,
     set_worker_name,
-    settle_failure,
-    settle_success,
     worker_bundle,
 )
-from repro.engine.backends.serial import attempt_serial
-from repro.engine.faults import TaskFailure, is_failure
 from repro.engine.journal import LeaseLedger
 from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
@@ -144,6 +142,20 @@ def seeded_norm_task(task: "Task") -> float:
 # ---------------------------------------------------------------------------
 # Dispatcher side.
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Unit:
+    """One live work unit, keyed by its head task's index: the members
+    still in flight, the queue-file attempt, the size at issue time
+    (which scales the wall-clock budget), and what the dispatcher has
+    seen of its claim and heartbeats on its own monotonic clock."""
+
+    members: "list[int]"
+    attempt: int
+    size: int
+    claimed_at: "float | None" = None
+    beat: "tuple[float, float] | None" = None  # (lease mtime, seen at)
 
 
 class DispatchBackend(ExecutionBackend):
@@ -217,18 +229,11 @@ class DispatchBackend(ExecutionBackend):
         queue_id = f"{socket.gethostname()}-{os.getpid()}-{self._seq:03d}-{stage_part}"
         return self.root / "queues" / queue_id
 
-    def _open_queue(
-        self,
-        state: RunState,
-        pending: "list[Task]",
-        attempts: "dict[int, int]",
-        units: "dict[int, list[int]]",
-        unit_attempt: "dict[int, int]",
-        unit_size: "dict[int, int]",
-    ) -> Path:
+    def _open_queue(self, recovery: TaskRecovery, units: "dict[int, _Unit]") -> Path:
         """Publish bundle + chunked todo units, then the manifest
         (workers only act once the manifest appears, so ordering makes
         the queue appear atomically complete)."""
+        state = recovery.state
         chaos.on_write("dispatch.queue", state.stage)
         qdir = self._queue_dir(state.stage)
         for sub in ("todo", "claimed", "leases", "results"):
@@ -242,19 +247,19 @@ class DispatchBackend(ExecutionBackend):
             qdir / "bundle.pkl",
             pickle.dumps(bundle_doc, protocol=pickle.HIGHEST_PROTOCOL),
         )
-        chunk = self._resolve_chunk(len(pending))
-        for lo in range(0, len(pending), chunk):
-            group = pending[lo : lo + chunk]
-            head = group[0].index
-            units[head] = [t.index for t in group]
-            unit_attempt[head] = 1
-            unit_size[head] = len(group)
-            for task in group:
-                attempts[task.index] = 1
-            payload: "Any" = group if len(group) > 1 else group[0]
+        publish = recovery.unresolved()
+        chunk = self._resolve_chunk(len(publish))
+        for lo in range(0, len(publish), chunk):
+            group = publish[lo : lo + chunk]
+            attempt = max(recovery.issue(idx) for idx in group)
+            units[group[0]] = _Unit(group, attempt, len(group))
+            tasks = [recovery.tasks[idx] for idx in group]
             atomic_write_bytes(
-                qdir / "todo" / _task_name(head, 1),
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
+                qdir / "todo" / _task_name(group[0], attempt),
+                pickle.dumps(
+                    tasks if len(tasks) > 1 else tasks[0],
+                    protocol=pickle.HIGHEST_PROTOCOL,
+                ),
             )
         manifest = {
             "format": _MANIFEST_FORMAT,
@@ -262,7 +267,7 @@ class DispatchBackend(ExecutionBackend):
             "queue": qdir.name,
             "stage": state.stage,
             "status": "open",
-            "tasks": len(pending),
+            "tasks": len(publish),
             "chunk": chunk,
             "heartbeat": max(0.2, self.lease_timeout / 4.0),
         }
@@ -272,7 +277,7 @@ class DispatchBackend(ExecutionBackend):
             "queue-open",
             queue=qdir.name,
             stage=state.stage,
-            tasks=len(pending),
+            tasks=len(publish),
             chunk=chunk,
         )
         return qdir
@@ -336,96 +341,44 @@ class DispatchBackend(ExecutionBackend):
     ) -> None:
         if not pending:
             return
-        taskmap = {t.index: t for t in pending}
-        order = [t.index for t in pending]
-        attempts: "dict[int, int]" = {}
-        losses: "dict[int, int]" = {i: 0 for i in order}
-        if state.journal is not None:
-            for idx, count in state.journal.crash_counts(state.stage).items():
-                if idx in losses:
-                    losses[idx] = count
-        terminal: "dict[int, tuple[str, Any]]" = {}
-        # A resumed run already knows its poison tasks: settle them up
-        # front instead of publishing them to a fresh worker fleet.
-        if state.on_error != "raise":
-            for idx in order:
-                if losses[idx] >= state.quarantine_after:
-                    terminal[idx] = (
-                        "fail", self._quarantine_failure(state, idx, losses[idx], 0)
-                    )
-        publish = [t for t in pending if t.index not in terminal]
-        reissue_at: "dict[int, tuple[float, int]]" = {}
-        # Work-unit state, keyed by the head task's index: live (still
-        # unresolved) members, the unit's queue-file attempt, and its
-        # size at issue time (which scales the wall-clock budget).
-        units: "dict[int, list[int]]" = {}
-        unit_attempt: "dict[int, int]" = {}
-        unit_size: "dict[int, int]" = {}
-        claim_seen: "dict[int, float]" = {}
-        beat_seen: "dict[int, tuple[float, float]]" = {}
-        settle_ptr = 0
-        started = time.monotonic()
-        hinted = False
-
+        recovery = TaskRecovery(state, pending, results)
+        # The live work units, keyed by head task index.
+        units: "dict[int, _Unit]" = {}
         try:
-            qdir = self._open_queue(state, publish, attempts, units,
-                                    unit_attempt, unit_size)
+            qdir = self._open_queue(recovery, units)
         except OSError as exc:
             kind = exhaustion_kind(exc)
             if kind is None:
                 raise
             # The queue root itself is exhausted: the degraded-local
             # path (execute in the dispatcher process) beats crashing.
-            record_event(
-                state,
-                "degraded-serial",
-                f"cannot publish the dispatch queue ({kind}: {exc}); "
-                f"executing {len(publish)} task(s) in the dispatcher process",
+            recovery.abandon()
+            recovery.degrade(
+                f"cannot publish the dispatch queue ({kind}: {exc}); executing "
+                f"{len(recovery.open)} task(s) in the dispatcher process",
+                recovery.unresolved(),
             )
-            for task in publish:
-                outcome = attempt_serial(state, task)
-                if is_failure(outcome):
-                    results[task.index] = settle_failure(state, outcome)
-                else:
-                    results[task.index] = settle_success(state, task, outcome)
-            for idx in order:
-                if idx in terminal and terminal[idx][0] == "fail":
-                    results[idx] = settle_failure(state, terminal[idx][1])
             return
         ledger = LeaseLedger(qdir / "leases")
         self._ensure_workers()
         pulse = obs_events.Heartbeat(
             "dispatcher", period=min(2.0, max(0.5, self.lease_timeout / 4.0))
         )
+        started = time.monotonic()
+        hinted = False
         try:
-            while settle_ptr < len(order):
+            while not recovery.finished:
                 now = time.monotonic()
-                pulse.beat(tasks=settle_ptr, stage=state.stage,
-                           inflight=len(claim_seen))
-                self._harvest(state, qdir, ledger, taskmap, attempts, terminal,
-                              reissue_at, units, unit_attempt, unit_size,
-                              claim_seen, beat_seen, now)
-                self._watch_inflight(state, qdir, ledger, taskmap, attempts,
-                                     losses, terminal, reissue_at, units,
-                                     unit_attempt, unit_size, claim_seen,
-                                     beat_seen, now)
-                self._issue_due(state, qdir, taskmap, attempts, terminal,
-                                reissue_at, units, unit_attempt, unit_size,
-                                claim_seen, beat_seen, now)
-                while settle_ptr < len(order) and order[settle_ptr] in terminal:
-                    idx = order[settle_ptr]
-                    kind, payload = terminal.pop(idx)
-                    if kind == "ok":
-                        results[idx] = settle_success(state, taskmap[idx], payload)
-                    else:
-                        results[idx] = settle_failure(state, payload)
-                    terminal[idx] = ("settled", None)
-                    settle_ptr += 1
+                pulse.beat(tasks=recovery.settled, stage=state.stage,
+                           inflight=sum(u.claimed_at is not None for u in units.values()))
+                self._harvest(recovery, qdir, ledger, units)
+                self._watch_inflight(recovery, qdir, ledger, units, now)
+                self._issue_due(recovery, qdir, units)
                 if (
                     not hinted
-                    and not claim_seen
-                    and settle_ptr < len(order)
+                    and not recovery.finished
                     and now - started > _NO_WORKER_HINT_AFTER
+                    and all(u.claimed_at is None for u in units.values())
                 ):
                     hinted = True
                     print(
@@ -433,67 +386,27 @@ class DispatchBackend(ExecutionBackend):
                         f"workers with: repro worker {self.root}",
                         file=sys.stderr,
                     )
-                if settle_ptr < len(order):
+                if not recovery.finished:
                     time.sleep(self.poll)
         finally:
             self._close_queue(qdir)
 
-    # The helpers below mutate the per-run dicts the loop owns; ``terminal``
-    # maps a resolved index to ("ok", outcome) / ("fail", TaskFailure) until
-    # the ordered settle replaces it with ("settled", None).
-
     @staticmethod
-    def _unit_of(units: "dict[int, list[int]]", idx: int) -> "int | None":
-        for head, members in units.items():
-            if idx in members:
-                return head
-        return None
-
-    def _clear_unit(
-        self,
-        qdir: Path,
-        ledger: LeaseLedger,
-        head: int,
-        attempt: int,
-        units: "dict[int, list[int]]",
-        unit_attempt: "dict[int, int]",
-        unit_size: "dict[int, int]",
-        claim_seen: "dict[int, float]",
-        beat_seen: "dict[int, tuple[float, float]]",
-    ) -> None:
-        """Drop a work unit's queue file, lease, and tracking state."""
-        try:
-            (qdir / "claimed" / _task_name(head, attempt)).unlink()
-        except OSError:
-            pass
-        try:
-            (qdir / "todo" / _task_name(head, attempt)).unlink()
-        except OSError:
-            pass
+    def _clear_unit(qdir: Path, ledger: LeaseLedger, units: "dict[int, _Unit]",
+                    head: int) -> "_Unit":
+        """Drop a work unit's queue file, lease, and table entry."""
+        unit = units.pop(head)
+        for sub in ("claimed", "todo"):
+            try:
+                (qdir / sub / _task_name(head, unit.attempt)).unlink()
+            except OSError:
+                pass
         ledger.release(head)
-        units.pop(head, None)
-        unit_attempt.pop(head, None)
-        unit_size.pop(head, None)
-        claim_seen.pop(head, None)
-        beat_seen.pop(head, None)
+        return unit
 
-    def _resolve_member(self, qdir, ledger, idx, units, unit_attempt,
-                        unit_size, claim_seen, beat_seen) -> None:
-        """Mark one task resolved inside its unit; drop the unit once its
-        last member resolves."""
-        head = self._unit_of(units, idx)
-        if head is None:
-            return
-        units[head].remove(idx)
-        if not units[head]:
-            self._clear_unit(qdir, ledger, head, unit_attempt[head], units,
-                             unit_attempt, unit_size, claim_seen, beat_seen)
-
-    def _harvest(self, state, qdir, ledger, taskmap, attempts, terminal,
-                 reissue_at, units, unit_attempt, unit_size, claim_seen,
-                 beat_seen, now) -> None:
-        """Consume streamed per-task result envelopes; schedule retries
-        for failed attempts; raise under ``on_error="raise"``."""
+    def _harvest(self, recovery: TaskRecovery, qdir: Path, ledger: LeaseLedger,
+                 units: "dict[int, _Unit]") -> None:
+        """Consume streamed per-task result envelopes and report them."""
         results_dir = qdir / "results"
         try:
             names = sorted(p.name for p in results_dir.iterdir())
@@ -508,258 +421,131 @@ class DispatchBackend(ExecutionBackend):
             try:
                 doc = pickle.loads(path.read_bytes())
             except Exception:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                continue
+                doc = None
             try:
                 path.unlink()
             except OSError:
                 pass
-            if (
-                idx in terminal
-                or idx in reissue_at
-                or idx not in taskmap
-                or attempt != attempts.get(idx)
-            ):
-                continue  # stale attempt (timed out and re-issued) or unknown
-            self._resolve_member(qdir, ledger, idx, units, unit_attempt,
-                                 unit_size, claim_seen, beat_seen)
+            if doc is None or not recovery.current(idx, attempt):
+                continue  # torn, stale (timed out and re-issued), or unknown
+            head = next(h for h, u in units.items() if idx in u.members)
+            units[head].members.remove(idx)
+            if not units[head].members:
+                self._clear_unit(qdir, ledger, units, head)
             if doc.get("ok"):
-                terminal[idx] = ("ok", doc["outcome"])
-                continue
-            if state.on_error == "raise":
-                exc = None
-                if doc.get("exception") is not None:
-                    try:
-                        exc = pickle.loads(doc["exception"])
-                    except Exception:
-                        exc = None
-                if isinstance(exc, BaseException):
-                    raise exc
-                raise RuntimeError(
-                    f"task {idx} (stage {state.stage!r}) failed on worker "
-                    f"{doc.get('worker')!r}: [{doc.get('error_type')}] "
-                    f"{doc.get('message')}"
-                )
-            if state.on_error == "retry" and attempt < state.retry.max_attempts:
-                obs_metrics.add("executor.retries")
-                reissue_at[idx] = (now + state.retry.delay(idx, attempt), attempt + 1)
-                continue
-            terminal[idx] = (
-                "fail",
-                TaskFailure(
-                    index=idx,
-                    stage=state.stage,
-                    kind="error",
-                    error_type=str(doc.get("error_type")),
-                    message=str(doc.get("message")),
-                    attempts=attempt,
-                ),
-            )
+                recovery.complete(idx, attempt, doc["outcome"])
+            else:
+                recovery.error(idx, attempt, _remote_exception(doc, idx, recovery.state),
+                               str(doc.get("error_type")), str(doc.get("message")))
 
-    def _watch_inflight(self, state, qdir, ledger, taskmap, attempts, losses,
-                        terminal, reissue_at, units, unit_attempt, unit_size,
-                        claim_seen, beat_seen, now) -> None:
+    def _watch_inflight(self, recovery: TaskRecovery, qdir: Path,
+                        ledger: LeaseLedger, units: "dict[int, _Unit]",
+                        now: float) -> None:
         """Track unit claims and heartbeats; enforce the wall-clock
-        budget; re-issue units whose worker stopped heartbeating."""
-        for head in list(units):
-            members = units.get(head)
-            if not members:
-                continue
-            attempt = unit_attempt[head]
-            claimed = (qdir / "claimed" / _task_name(head, attempt)).exists()
-            if not claimed:
+        budget; report units whose worker stopped heartbeating."""
+        timeout = recovery.state.timeout
+        for head, unit in list(units.items()):
+            if not (qdir / "claimed" / _task_name(head, unit.attempt)).exists():
                 pending_results = any(
-                    (qdir / "results" / _task_name(m, attempts[m])).exists()
-                    for m in members
+                    (qdir / "results" / _task_name(m, unit.attempt)).exists()
+                    for m in unit.members
                 )
-                if head in claim_seen and not pending_results:
+                if unit.claimed_at is not None and not pending_results:
                     # Claim vanished without results for the live members
-                    # (a worker died mid-cleanup): treat like a lost
-                    # worker below.  When result files exist the worker
-                    # simply finished between our harvest and this scan.
-                    self._worker_lost(state, qdir, ledger, taskmap, attempts,
-                                      losses, terminal, reissue_at, units,
-                                      unit_attempt, unit_size, claim_seen,
-                                      beat_seen, head, now)
+                    # (a worker died mid-cleanup): a lost worker.  When
+                    # result files exist the worker simply finished
+                    # between our harvest and this scan.
+                    self._worker_lost(recovery, qdir, ledger, units, head)
                 continue
-            if head not in claim_seen:
-                claim_seen[head] = now
+            if unit.claimed_at is None:
+                unit.claimed_at = now
             mt = ledger.mtime(head)
-            prev = beat_seen.get(head)
-            if mt is not None and (prev is None or mt != prev[0]):
-                beat_seen[head] = (mt, now)
-            if state.timeout is not None:
-                # A unit executes its tasks back to back on one claim, so
-                # its budget is the per-task budget times its issue size.
-                budget = state.timeout * unit_size[head]
-                if now - claim_seen[head] > budget:
-                    self._timed_out(state, qdir, ledger, attempts, terminal,
-                                    reissue_at, units, unit_attempt, unit_size,
-                                    claim_seen, beat_seen, head, now)
-                    continue
-            last_sign = beat_seen[head][1] if head in beat_seen else claim_seen[head]
-            if now - last_sign > self.lease_timeout:
-                self._worker_lost(state, qdir, ledger, taskmap, attempts, losses,
-                                  terminal, reissue_at, units, unit_attempt,
-                                  unit_size, claim_seen, beat_seen, head, now)
-
-    def _timed_out(self, state, qdir, ledger, attempts, terminal, reissue_at,
-                   units, unit_attempt, unit_size, claim_seen, beat_seen,
-                   head, now) -> None:
-        members = list(units.get(head, ()))
-        attempt = unit_attempt[head]
-        budget = (state.timeout or 0.0) * unit_size.get(head, 1)
-        record_event(
-            state,
-            "timeout",
-            f"work unit {head} ({len(members)} unfinished tasks) exceeded "
-            f"its {budget:g}s wall-clock budget on the dispatch backend; "
-            "abandoning the attempt",
-            index=head,
-        )
-        self._clear_unit(qdir, ledger, head, attempt, units, unit_attempt,
-                         unit_size, claim_seen, beat_seen)
-        if state.on_error == "raise":
-            raise TimeoutError(
-                f"task {members[0] if members else head} "
-                f"(stage {state.stage!r}) exceeded its "
-                f"{budget:g}s wall-clock budget"
-            )
-        for idx in members:
-            m_attempt = attempts[idx]
-            if state.on_error == "retry" and m_attempt < state.retry.max_attempts:
-                obs_metrics.add("executor.retries")
-                reissue_at[idx] = (now + state.retry.delay(idx, m_attempt),
-                                   m_attempt + 1)
+            if mt is not None and (unit.beat is None or mt != unit.beat[0]):
+                unit.beat = (mt, now)
+            # A unit executes its tasks back to back on one claim, so its
+            # budget is the per-task budget times its issue size.
+            if timeout is not None and now - unit.claimed_at > timeout * unit.size:
+                budget = timeout * unit.size
+                record_event(
+                    recovery.state,
+                    "timeout",
+                    f"work unit {head} ({len(unit.members)} unfinished tasks) "
+                    f"exceeded its {budget:g}s wall-clock budget on the dispatch "
+                    "backend; abandoning the attempt",
+                    index=head,
+                )
+                self._clear_unit(qdir, ledger, units, head)
+                for idx in unit.members:
+                    recovery.timeout(idx, unit.attempt, budget)
                 continue
-            # Bump the attempt so a late result from the hung worker is
-            # ignored as stale (the worker itself cannot be preempted).
-            attempts[idx] = m_attempt + 1
-            terminal[idx] = (
-                "fail",
-                TaskFailure(
-                    index=idx,
-                    stage=state.stage,
-                    kind="timeout",
-                    error_type="TimeoutError",
-                    message=f"exceeded {budget:g}s budget",
-                    attempts=m_attempt,
-                ),
-            )
+            last_sign = unit.beat[1] if unit.beat is not None else unit.claimed_at
+            if now - last_sign > self.lease_timeout:
+                self._worker_lost(recovery, qdir, ledger, units, head)
 
-    def _worker_lost(self, state, qdir, ledger, taskmap, attempts, losses,
-                     terminal, reissue_at, units, unit_attempt, unit_size,
-                     claim_seen, beat_seen, head, now) -> None:
+    def _worker_lost(self, recovery: TaskRecovery, qdir: Path, ledger: LeaseLedger,
+                     units: "dict[int, _Unit]", head: int) -> None:
         lease = ledger.load(head) or {}
-        members = list(units.get(head, ()))
-        attempt = unit_attempt[head]
         obs_metrics.add("executor.dispatch.workers_lost")
         record_event(
-            state,
+            recovery.state,
             "worker-lost",
             f"worker {lease.get('worker', '<unknown>')!r} stopped "
             f"heartbeating while holding work unit {head} "
-            f"({len(members)} unfinished tasks); re-issuing them",
+            f"({len(units[head].members)} unfinished tasks); re-issuing them",
             index=head,
         )
-        self._clear_unit(qdir, ledger, head, attempt, units, unit_attempt,
-                         unit_size, claim_seen, beat_seen)
-        for idx in members:
-            losses[idx] += 1
-            if state.journal is not None:
-                losses[idx] = max(
-                    losses[idx], state.journal.record_crash(state.stage, idx)
-                )
-            if losses[idx] >= state.quarantine_after:
-                # Workers keep dying on this task: quarantine it (never
-                # re-issue, never execute it in the dispatcher — it just
-                # proved it kills its host) and let the sweep complete.
-                if state.on_error == "raise":
-                    raise RuntimeError(
-                        f"task {idx} (stage {state.stage!r}) killed "
-                        f"{losses[idx]} worker(s) and was quarantined; re-run "
-                        "with --on-error skip or retry to let the remaining "
-                        "tasks complete without it"
-                    )
-                terminal[idx] = (
-                    "fail",
-                    self._quarantine_failure(
-                        state, idx, losses[idx], attempts.get(idx, 0)
-                    ),
-                )
-                continue
-            # Worker loss is not a task failure: re-issue the same attempt.
-            reissue_at[idx] = (now, attempts[idx])
+        for idx in self._clear_unit(qdir, ledger, units, head).members:
+            recovery.lost(idx)
 
     @staticmethod
-    def _quarantine_failure(
-        state: RunState, idx: int, count: int, attempted: int
-    ) -> TaskFailure:
-        """Build (and count) the failure record of a quarantined task."""
-        obs_metrics.add("quarantine.tasks")
-        record_event(
-            state,
-            "quarantined",
-            f"task {idx} killed its worker {count} time(s) "
-            f"(quarantine-after={state.quarantine_after}); no longer re-issued",
-            index=idx,
-        )
-        return TaskFailure(
-            index=idx,
-            stage=state.stage,
-            kind="quarantined",
-            error_type="WorkerLost",
-            message=f"worker died {count} time(s) executing this task",
-            attempts=max(attempted, count),
-        )
-
-    def _issue_due(self, state, qdir, taskmap, attempts, terminal, reissue_at,
-                   units, unit_attempt, unit_size, claim_seen, beat_seen,
-                   now) -> None:
+    def _issue_due(recovery: TaskRecovery, qdir: Path,
+                   units: "dict[int, _Unit]") -> None:
         """Re-issue due tasks as singleton units.  A task whose index
         still heads a live unit (its siblings remain in flight under that
         head) waits until the unit drains, so queue-file names and the
         head's lease stay unambiguous."""
-        for idx, (due, attempt) in list(reissue_at.items()):
-            if due > now or idx in units:
+        stage = recovery.state.stage
+        for idx in recovery.due():
+            if idx in units:
                 continue
-            del reissue_at[idx]
-            attempts[idx] = attempt
+            attempt = recovery.issue(idx)
             obs_metrics.add("executor.dispatch.reissues")
-            obs_events.emit(
-                "reissue", stage=state.stage, index=idx, attempt=attempt
-            )
+            obs_events.emit("reissue", stage=stage, index=idx, attempt=attempt)
             try:
-                chaos.on_write("dispatch.todo", state.stage, idx)
+                chaos.on_write("dispatch.todo", stage, idx)
                 atomic_write_bytes(
                     qdir / "todo" / _task_name(idx, attempt),
-                    pickle.dumps(taskmap[idx], protocol=pickle.HIGHEST_PROTOCOL),
+                    pickle.dumps(recovery.tasks[idx], protocol=pickle.HIGHEST_PROTOCOL),
                 )
             except OSError as exc:
-                if exhaustion_kind(exc) is None:
-                    reissue_at[idx] = (now, attempt)  # transient FS error; retry
-                    continue
-                # The queue filesystem is exhausted — re-queueing cannot
-                # succeed, so fall back to the degraded-local path.
-                record_event(
-                    state,
-                    "degraded-serial",
-                    f"cannot re-issue task {idx} "
-                    f"({exhaustion_kind(exc)}: {exc}); executing it in the "
-                    "dispatcher process",
-                    index=idx,
-                )
-                outcome = attempt_serial(state, taskmap[idx])
-                terminal[idx] = (
-                    ("fail", outcome) if is_failure(outcome) else ("ok", outcome)
-                )
+                recovery.requeue(idx)
+                kind = exhaustion_kind(exc)
+                if kind is not None:
+                    # The queue filesystem is exhausted — re-queueing
+                    # cannot succeed, so fall back to the degraded-local
+                    # path.  (A transient error just retries next poll.)
+                    recovery.degrade(
+                        f"cannot re-issue task {idx} ({kind}: {exc}); executing "
+                        "it in the dispatcher process",
+                        [idx],
+                        index=idx,
+                    )
                 continue
-            units[idx] = [idx]
-            unit_attempt[idx] = attempt
-            unit_size[idx] = 1
+            units[idx] = _Unit([idx], attempt, 1)
+
+
+def _remote_exception(doc: dict, idx: int, state: RunState) -> BaseException:
+    """The exception a worker shipped back, or a stand-in naming it."""
+    try:
+        exc = pickle.loads(doc["exception"])
+        if isinstance(exc, BaseException):
+            return exc
+    except Exception:
+        pass
+    return RuntimeError(
+        f"task {idx} (stage {state.stage!r}) failed on worker "
+        f"{doc.get('worker')!r}: [{doc.get('error_type')}] {doc.get('message')}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +596,23 @@ def _heartbeat_loop(ledger: LeaseLedger, index: int, period: float,
         ledger.heartbeat(index)
 
 
+def _failure_doc(exc: BaseException, worker: str, attempt: int) -> "dict[str, Any]":
+    """The result envelope of a failed attempt (the exception itself
+    rides along when it pickles, for re-raising under ``raise``)."""
+    try:
+        shipped: "bytes | None" = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        shipped = None
+    return {
+        "ok": False,
+        "error_type": type(exc).__name__,
+        "message": str(exc),
+        "exception": shipped,
+        "worker": worker,
+        "attempt": attempt,
+    }
+
+
 def _run_claimed(qdir: Path, fn, stage: str, worker: str, heartbeat: float,
                  claimed: Path, head: int, attempt: int) -> None:
     """Execute one stolen work unit and stream one envelope per member
@@ -836,23 +639,11 @@ def _run_claimed(qdir: Path, fn, stage: str, worker: str, heartbeat: float,
             # The unit file itself is unreadable: report on the head; the
             # dispatcher recovers any remaining members via the
             # lost-worker path once the claim disappears.
-            doc: "dict[str, Any]" = {
-                "ok": False,
-                "error_type": type(exc).__name__,
-                "message": str(exc),
-                "worker": worker,
-                "attempt": attempt,
-            }
-            try:
-                doc["exception"] = pickle.dumps(
-                    exc, protocol=pickle.HIGHEST_PROTOCOL
-                )
-            except Exception:
-                doc["exception"] = None
             try:
                 atomic_write_bytes(
                     qdir / "results" / _task_name(head, attempt),
-                    pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL),
+                    pickle.dumps(_failure_doc(exc, worker, attempt),
+                                 protocol=pickle.HIGHEST_PROTOCOL),
                 )
             except OSError:
                 pass
@@ -861,28 +652,11 @@ def _run_claimed(qdir: Path, fn, stage: str, worker: str, heartbeat: float,
         for task in tasks:
             try:
                 outcome = execute_task(fn, task, stage)
-                doc = {
-                    "ok": True,
-                    "outcome": outcome,
-                    "worker": worker,
-                    "attempt": attempt,
-                }
+                doc = {"ok": True, "outcome": outcome, "worker": worker, "attempt": attempt}
                 payload = pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
             except Exception as exc:
-                doc = {
-                    "ok": False,
-                    "error_type": type(exc).__name__,
-                    "message": str(exc),
-                    "worker": worker,
-                    "attempt": attempt,
-                }
-                try:
-                    doc["exception"] = pickle.dumps(
-                        exc, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                except Exception:
-                    doc["exception"] = None
-                payload = pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
+                payload = pickle.dumps(_failure_doc(exc, worker, attempt),
+                                       protocol=pickle.HIGHEST_PROTOCOL)
             try:
                 chaos.on_write("dispatch.result", stage, task.index)
                 atomic_write_bytes(

@@ -1,26 +1,21 @@
 """Process-pool backend — :class:`concurrent.futures.ProcessPoolExecutor`.
 
-Workers are initialised with the shared worker bundle (context, guards,
-chaos plan, metrics switch, array-backend config), futures are awaited
-in task order, and every fault path of the single-host world is
-handled here: a task exception is retried or settled, a hung task is
-abandoned after its wall-clock budget (the pool is restarted so the
-remaining tasks keep running), and a broken pool (a worker died hard)
-is rebuilt a bounded number of times before degrading to re-executing
-the unfinished remainder on the serial backend.
+A transport under the shared :class:`~repro.engine.backends.base.TaskRecovery`
+machine, which decides every task's fate (retry, skip, raise, timeout,
+worker loss, quarantine, ordered settle).  Workers are initialised with
+the shared worker bundle; each round issues every unresolved task to a
+fresh pool and awaits the futures in task order.  A hung task ends the
+round (the pool is torn down so the remaining tasks keep running); a
+broken pool (a worker died hard) is rebuilt under ``retry`` within a
+bounded budget, else the remainder runs in the calling process.
 
-Poison-task quarantine: every submission runs under an *in-flight
-marker* (a file named for the task index, holding the worker's pid)
-that the worker removes when the task settles — so when a worker death
-breaks the pool, the surviving markers identify exactly which tasks
-were executing, and matching their pids against the dead workers'
-identifies which of those to blame.  Blamed tasks accumulate fatal-
-attempt counts (persisted in the journal's ``crashes.json`` so they
-survive rebuilds and ``--resume``); a task blamed
-``state.quarantine_after`` times is settled as
-``TaskFailure(kind="quarantined")`` instead of being re-submitted, so
-one deterministically crashing task can no longer pin the run in a
-rebuild loop.
+Blame for a break: every submission runs under an *in-flight marker* (a
+file named for the task index, holding the worker's pid) that the
+worker removes when the task settles — so the markers that survive a
+break identify exactly which tasks were executing, and matching their
+pids against the dead workers' narrows that to the tasks whose worker
+actually died.  Only those are reported to the machine as worker
+losses; innocent co-resident tasks are simply re-issued.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-import time
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from typing import TYPE_CHECKING, Any
@@ -36,16 +30,13 @@ from typing import TYPE_CHECKING, Any
 from repro.engine.backends.base import (
     ExecutionBackend,
     RunState,
+    TaskRecovery,
     execute_task,
     install_worker_bundle,
     record_event,
     set_worker_name,
-    settle_failure,
-    settle_success,
     worker_bundle,
 )
-from repro.engine.backends.serial import SerialBackend
-from repro.engine.faults import TaskFailure
 from repro.obs import metrics as obs_metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["ProcessPoolBackend"]
 
 #: How many times a broken pool is rebuilt (under ``on_error="retry"``)
-#: before the run degrades to the serial backend.
+#: before the remainder degrades to the calling process.
 _MAX_POOL_REBUILDS = 2
 
 
@@ -112,167 +103,113 @@ class ProcessPoolBackend(ExecutionBackend):
         pending: "list[Task]",
         results: "dict[int, Any]",
     ) -> None:
-        queue: "dict[int, Task]" = {t.index: t for t in pending}
-        attempts: "dict[int, int]" = {t.index: 0 for t in pending}
-        losses: "dict[int, int]" = {}
-        if state.journal is not None:
-            for idx, count in state.journal.crash_counts(state.stage).items():
-                if idx in queue:
-                    losses[idx] = count
-        if state.on_error != "raise":
-            # A resumed run already knows its poison tasks: settle them
-            # up front instead of feeding them a fresh pool.
-            for idx in sorted(queue):
-                if losses.get(idx, 0) >= state.quarantine_after:
-                    self._quarantine(state, queue, attempts, results, idx, losses[idx])
+        recovery = TaskRecovery(state, pending, results)
         marker_dir = tempfile.mkdtemp(prefix="repro-pool-inflight-")
         try:
-            self._run_rounds(state, queue, attempts, losses, results, marker_dir)
+            self._run_rounds(recovery, marker_dir)
         finally:
             shutil.rmtree(marker_dir, ignore_errors=True)
 
-    def _run_rounds(
-        self,
-        state: RunState,
-        queue: "dict[int, Task]",
-        attempts: "dict[int, int]",
-        losses: "dict[int, int]",
-        results: "dict[int, Any]",
-        marker_dir: str,
-    ) -> None:
+    def _run_rounds(self, recovery: TaskRecovery, marker_dir: str) -> None:
+        """Issue every unresolved task to a fresh pool per round until
+        all resolve; a round ends early when the pool breaks or a task
+        overruns its budget (the pool is then torn down)."""
+        state = recovery.state
         pool_breaks = 0
         unresolved_at_break: "int | None" = None
-        while queue:
+        while not recovery.finished:
+            round_ = recovery.unresolved()
+            recovery.wait(round_)
             self._clear_markers(marker_dir)
-            submitted = sorted(queue)
             pool = ProcessPoolExecutor(
-                max_workers=min(max(state.n_jobs, 1), len(submitted)),
+                max_workers=min(max(state.n_jobs, 1), len(round_)),
                 initializer=_init_worker,
                 initargs=(worker_bundle(state.context),),
             )
-            futures = {}
-            for idx in submitted:
-                attempts[idx] += 1
-                futures[idx] = pool.submit(
-                    _execute_marked, marker_dir, state.fn, queue[idx], state.stage
-                )
-            abort = None
-            for idx in submitted:
-                if idx not in queue:
-                    continue
-                fut = futures[idx]
-                try:
-                    value = fut.result(timeout=state.timeout)
-                except BrokenExecutor:
-                    abort = "broken"
-                    break
-                except _FuturesTimeout as exc:
-                    if fut.done():  # the task itself raised a TimeoutError
-                        if state.on_error == "raise":
-                            pool.shutdown(wait=True, cancel_futures=True)
-                            raise
-                        self._task_error(state, queue, attempts, results, idx, exc)
-                        continue
-                    budget = state.timeout if state.timeout is not None else 0.0
-                    record_event(
-                        state,
-                        "timeout",
-                        f"task {idx} exceeded its {budget:g}s wall-clock budget; "
-                        "restarting the worker pool",
-                        index=idx,
+            try:
+                futures = {
+                    idx: (
+                        recovery.issue(idx),
+                        pool.submit(_execute_marked, marker_dir, state.fn,
+                                    recovery.tasks[idx], state.stage),
                     )
-                    if state.on_error == "raise":
-                        _kill_pool(pool)
-                        raise TimeoutError(
-                            f"task {idx} (stage {state.stage!r}) exceeded its "
-                            f"{budget:g}s wall-clock budget"
-                        ) from None
-                    self._task_error(
-                        state, queue, attempts, results, idx,
-                        TimeoutError(f"exceeded {budget:g}s budget"), kind="timeout",
-                    )
-                    abort = "timeout"
-                    break
-                except Exception as exc:
-                    if state.on_error == "raise":
-                        pool.shutdown(wait=True, cancel_futures=True)
-                        raise
-                    self._task_error(state, queue, attempts, results, idx, exc)
-                else:
-                    results[idx] = settle_success(state, queue.pop(idx), value)
-
+                    for idx in round_
+                }
+                abort = self._await(recovery, futures)
+            except BaseException:
+                _kill_pool(pool)
+                raise
             if abort is None:
                 pool.shutdown(wait=True)
+                continue
+            # Work that finished cleanly before the abort must not be lost.
+            for idx, (attempt, fut) in futures.items():
+                if fut.done() and not fut.cancelled() and fut.exception() is None:
+                    recovery.complete(idx, attempt, fut.result())
+            dead_pids = self._dead_pids(pool) if abort == "broken" else set()
+            _kill_pool(pool)
+            if abort == "broken":
+                # The rebuild budget guards against a *stuck* loop, not
+                # against many distinct transient deaths: a break that
+                # arrives with fewer unresolved tasks than the previous
+                # one means the run is advancing, so the budget restarts.
+                unresolved = len(recovery.open)
+                if unresolved_at_break is not None and unresolved < unresolved_at_break:
+                    pool_breaks = 0
+                unresolved_at_break = unresolved
+                pool_breaks += 1
+                record_event(
+                    state,
+                    "pool-broken",
+                    "a worker process died and broke the pool "
+                    f"({unresolved} task(s) unresolved)",
+                )
+                blamed = self._blame(marker_dir, recovery.inflight(), dead_pids)
+                quarantined = [idx for idx in blamed if recovery.lost(idx)]
+                if quarantined:
+                    # The breaker removed the culprit: forward progress,
+                    # so the rebuild budget starts over for the survivors.
+                    pool_breaks = 0
+            recovery.abandon()
+            if abort == "broken" and not recovery.finished:
+                if state.on_error != "retry" or pool_breaks > _MAX_POOL_REBUILDS:
+                    recovery.degrade(
+                        f"re-executing the unfinished {len(recovery.open)} task(s) "
+                        "in the calling process",
+                        recovery.unresolved(),
+                    )
+                    return
+                obs_metrics.add("executor.pool_rebuilds")
+
+    @staticmethod
+    def _await(recovery: TaskRecovery, futures: dict) -> "str | None":
+        """Report each future's fate in task order; returns why the
+        round must end early (``"broken"``/``"timeout"``), or ``None``."""
+        state = recovery.state
+        for idx, (attempt, fut) in futures.items():
+            try:
+                value = fut.result(timeout=state.timeout)
+            except BrokenExecutor:
+                return "broken"
+            except _FuturesTimeout as exc:
+                if fut.done():  # the task itself raised a TimeoutError
+                    recovery.error(idx, attempt, exc)
+                    continue
+                budget = state.timeout if state.timeout is not None else 0.0
+                record_event(
+                    state,
+                    "timeout",
+                    f"task {idx} exceeded its {budget:g}s wall-clock budget; "
+                    "restarting the worker pool",
+                    index=idx,
+                )
+                recovery.timeout(idx, attempt, budget)
+                return "timeout"
+            except Exception as exc:
+                recovery.error(idx, attempt, exc)
             else:
-                self._harvest_done(state, futures, queue, results)
-                dead_pids = self._dead_pids(pool) if abort == "broken" else set()
-                _kill_pool(pool)
-                if abort == "broken":
-                    # The rebuild budget guards against a *stuck* loop,
-                    # not against many distinct transient deaths: a break
-                    # that arrives with fewer unresolved tasks than the
-                    # previous one means the run is advancing, so the
-                    # budget starts over.
-                    if unresolved_at_break is not None and (
-                        len(queue) < unresolved_at_break
-                    ):
-                        pool_breaks = 0
-                    unresolved_at_break = len(queue)
-                    pool_breaks += 1
-                    record_event(
-                        state,
-                        "pool-broken",
-                        "a worker process died and broke the pool "
-                        f"({len(queue)} task(s) unresolved)",
-                    )
-                    blamed = self._blame(marker_dir, queue, dead_pids)
-                    quarantined = 0
-                    for idx in blamed:
-                        losses[idx] = losses.get(idx, 0) + 1
-                        if state.journal is not None:
-                            losses[idx] = max(
-                                losses[idx],
-                                state.journal.record_crash(state.stage, idx),
-                            )
-                        obs_metrics.add("executor.worker_losses")
-                        if (
-                            state.on_error == "retry"
-                            and losses[idx] >= state.quarantine_after
-                        ):
-                            self._quarantine(
-                                state, queue, attempts, results, idx, losses[idx]
-                            )
-                            quarantined += 1
-                    if quarantined:
-                        # The breaker tripped and removed the culprit:
-                        # that is forward progress, so the rebuild budget
-                        # starts over for the survivors.
-                        pool_breaks = 0
-                    if not queue:
-                        return
-                    can_rebuild = (
-                        state.on_error == "retry"
-                        and pool_breaks <= _MAX_POOL_REBUILDS
-                        and all(
-                            attempts[i] < state.retry.max_attempts for i in queue
-                        )
-                    )
-                    if not can_rebuild:
-                        if queue:
-                            record_event(
-                                state,
-                                "degraded-serial",
-                                f"re-executing the unfinished {len(queue)} task(s) "
-                                "on the serial backend",
-                            )
-                            SerialBackend().run(
-                                state, [queue[i] for i in sorted(queue)], results
-                            )
-                            queue.clear()
-                        return
-                    obs_metrics.add("executor.pool_rebuilds")
-            if state.on_error == "retry" and queue:
-                time.sleep(max(state.retry.delay(i, attempts[i]) for i in queue))
+                recovery.complete(idx, attempt, value)
+        return None
 
     @staticmethod
     def _dead_pids(pool: ProcessPoolExecutor) -> "set[int]":
@@ -295,7 +232,7 @@ class ProcessPoolBackend(ExecutionBackend):
 
     @staticmethod
     def _blame(
-        marker_dir: str, queue: "dict[int, Task]", dead_pids: "set[int]"
+        marker_dir: str, inflight: "list[int]", dead_pids: "set[int]"
     ) -> "list[int]":
         """Unresolved task indices whose in-flight marker survived the
         break — narrowed to markers held by a worker that actually died,
@@ -322,88 +259,9 @@ class ProcessPoolBackend(ExecutionBackend):
                 os.unlink(path)
             except OSError:
                 pass
-            if idx is not None and idx in queue:
+            if idx is not None and idx in inflight:
                 marked[idx] = pid
         if not marked:
             return []
         blamed = [i for i, pid in marked.items() if pid in dead_pids]
         return sorted(blamed if blamed else marked)
-
-    @staticmethod
-    def _quarantine(
-        state: RunState,
-        queue: "dict[int, Task]",
-        attempts: "dict[int, int]",
-        results: "dict[int, Any]",
-        idx: int,
-        count: int,
-    ) -> None:
-        """Settle a poison task: it has killed ``count`` workers, which
-        meets the ``quarantine_after`` budget, so it is never re-issued."""
-        obs_metrics.add("quarantine.tasks")
-        record_event(
-            state,
-            "quarantined",
-            f"task {idx} killed its worker {count} time(s) "
-            f"(quarantine-after={state.quarantine_after}); no longer re-issued",
-            index=idx,
-        )
-        queue.pop(idx, None)
-        results[idx] = settle_failure(
-            state,
-            TaskFailure(
-                index=idx,
-                stage=state.stage,
-                kind="quarantined",
-                error_type="WorkerLost",
-                message=f"worker died {count} time(s) executing this task",
-                attempts=max(attempts.get(idx, 0), count),
-            ),
-        )
-
-    @staticmethod
-    def _task_error(
-        state: RunState,
-        queue: "dict[int, Task]",
-        attempts: "dict[int, int]",
-        results: "dict[int, Any]",
-        idx: int,
-        exc: BaseException,
-        kind: str = "error",
-    ) -> None:
-        """Handle a task-level failure on the pool backend: requeue for a
-        retry when the policy allows, else settle a :class:`TaskFailure`."""
-        if state.on_error == "retry" and attempts[idx] < state.retry.max_attempts:
-            obs_metrics.add("executor.retries")
-            return  # stays in the queue; next pool round re-runs it
-        queue.pop(idx)
-        results[idx] = settle_failure(
-            state,
-            TaskFailure(
-                index=idx,
-                stage=state.stage,
-                kind=kind,
-                error_type=type(exc).__name__,
-                message=str(exc),
-                attempts=attempts[idx],
-            ),
-        )
-
-    @staticmethod
-    def _harvest_done(
-        state: RunState,
-        futures: dict,
-        queue: "dict[int, Task]",
-        results: "dict[int, Any]",
-    ) -> None:
-        """After an abort, collect results of futures that finished cleanly
-        before the pool went down (their work must not be discarded)."""
-        for idx in list(queue):
-            fut = futures.get(idx)
-            if fut is None or not fut.done():
-                continue
-            try:
-                value = fut.result(timeout=0)
-            except Exception:
-                continue  # broken-pool sentinel or task error: re-run / re-judge later
-            results[idx] = settle_success(state, queue.pop(idx), value)

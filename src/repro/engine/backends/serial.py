@@ -1,57 +1,23 @@
 """Serial backend — a plain loop in the calling process.
 
 The reference implementation of the backend protocol: every other
-backend must produce exactly the results this loop produces.  Retries
-follow the shared :class:`~repro.engine.faults.RetryPolicy`; per-task
+backend must produce exactly the results this loop produces.  It is the
+recovery machine's in-process transport
+(:meth:`~repro.engine.backends.base.TaskRecovery.run_inline`); per-task
 wall-clock timeouts cannot be enforced in-process and are ignored
 (documented in ``map_tasks``).
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Any
 
-from repro.engine.backends.base import (
-    ExecutionBackend,
-    RunState,
-    execute_task,
-    set_worker_context,
-    settle_failure,
-    settle_success,
-)
-from repro.engine.faults import TaskFailure, is_failure
-from repro.obs import metrics as obs_metrics
+from repro.engine.backends.base import ExecutionBackend, RunState, TaskRecovery
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.executor import Task
 
-__all__ = ["SerialBackend", "attempt_serial"]
-
-
-def attempt_serial(state: RunState, task: "Task") -> Any:
-    """Run one task in-process with the retry schedule; returns the
-    value or a :class:`TaskFailure` (under ``skip``/``retry``)."""
-    max_attempts = state.retry.max_attempts if state.on_error == "retry" else 1
-    last_exc: "BaseException | None" = None
-    for attempt in range(1, max_attempts + 1):
-        try:
-            return execute_task(state.fn, task, state.stage)
-        except Exception as exc:
-            if state.on_error == "raise":
-                raise
-            last_exc = exc
-            if attempt < max_attempts:
-                obs_metrics.add("executor.retries")
-                time.sleep(state.retry.delay(task.index, attempt))
-    return TaskFailure(
-        index=task.index,
-        stage=state.stage,
-        kind="error",
-        error_type=type(last_exc).__name__,
-        message=str(last_exc),
-        attempts=max_attempts,
-    )
+__all__ = ["SerialBackend"]
 
 
 class SerialBackend(ExecutionBackend):
@@ -65,13 +31,5 @@ class SerialBackend(ExecutionBackend):
         pending: "list[Task]",
         results: "dict[int, Any]",
     ) -> None:
-        previous = set_worker_context(state.context)
-        try:
-            for task in pending:
-                outcome = attempt_serial(state, task)
-                if is_failure(outcome):
-                    results[task.index] = settle_failure(state, outcome)
-                else:
-                    results[task.index] = settle_success(state, task, outcome)
-        finally:
-            set_worker_context(previous)
+        recovery = TaskRecovery(state, pending, results)
+        recovery.run_inline(recovery.order)

@@ -65,8 +65,7 @@ class TaskFailure:
         The ``map_tasks`` stage name the task belonged to.
     kind:
         ``"error"`` (the task function raised), ``"timeout"`` (the
-        process backend's wall-clock budget expired), ``"crash"``
-        (the worker process died and broke the pool), or
+        process backend's wall-clock budget expired), or
         ``"quarantined"`` (the task killed its worker
         ``quarantine_after`` times and is no longer re-issued — the
         poison-task circuit breaker).

@@ -7,6 +7,7 @@ the same task list — including when attempt 1 times out or crashes and
 attempt 2 succeeds.
 """
 
+import json
 import os
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.engine.faults import (
     RetryPolicy,
     execution_scope,
 )
+from repro.obs import events as obs_events
 from repro.obs import metrics as obs_metrics
 
 FAST_RETRY = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.01)
@@ -158,6 +160,37 @@ class TestCrossBackendParity:
         for counters in (serial_counters, pool_counters, disp_counters):
             assert counters["executor.retries"] == 1
             assert "executor.task_failures" not in counters
+
+    def test_retried_task_settles_in_task_order(self, tmp_path):
+        """Attempt 1 of task 1 raises: the pool settles its retry before
+        the later tasks, exactly as serial does, so task-done events (and
+        journal records and metric merges) land in task order."""
+        tasks = make_tasks(range(5), root_seed=3)
+
+        def done_order(executor, name, **kwargs):
+            chaos.install(
+                ChaosPlan(
+                    state_dir=str(tmp_path / f"cs-{name}"),
+                    faults=(Fault(kind="raise", stage="ordered", index=1),),
+                )
+            )
+            bus = obs_events.EventBus(tmp_path / f"events-{name}", "test")
+            previous = obs_events.install(bus)
+            try:
+                map_tasks(
+                    _draw, tasks, executor=executor, stage="ordered",
+                    on_error="retry", retry=FAST_RETRY, **kwargs,
+                )
+            finally:
+                obs_events.install(previous)
+                bus.close()
+                chaos.uninstall()
+            docs = [json.loads(line) for line in bus.path.read_text().splitlines()]
+            return [d["index"] for d in docs if d["kind"] == "task-done"]
+
+        serial = done_order("serial", "serial")
+        assert serial == [0, 1, 2, 3, 4]
+        assert done_order("pool", "pool", jobs=2) == serial
 
     def test_timeout_then_success_parity_pool_vs_dispatch(self, tmp_path):
         """S3: attempt 1 of task 1 hangs past the wall-clock budget,

@@ -99,6 +99,22 @@ class TestPoolQuarantine:
         assert is_failure(out[1]) and out[1].kind == "quarantined"
         assert completed(out) == [0, 4]
 
+    def test_breaker_trips_on_a_live_break_under_skip(self, tmp_path):
+        """Under skip the pool applies the same breaker as dispatch: the
+        K-th worker loss quarantines the task instead of re-running it
+        inside the dispatching process."""
+        _install_persistent_kill(tmp_path, "ps", 1)
+        journal = RunJournal.create(tmp_path / "runs", "s1", {})
+        journal.record_crash("ps", 1)  # K-1 losses from an earlier incarnation
+        with pytest.warns(UserWarning, match="quarantine"):
+            out = map_tasks(
+                _double, make_tasks(range(4)), jobs=2, executor="pool",
+                stage="ps", on_error="skip", journal=journal,
+                quarantine_after=2,
+            )
+        assert out[1].kind == "quarantined"
+        assert completed(out) == [0, 4, 6]
+
     def test_transient_death_still_recovers(self, tmp_path):
         """A once-only death stays below the quarantine budget and the
         task completes on the rebuilt pool — no behaviour change."""
